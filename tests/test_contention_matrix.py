@@ -19,6 +19,7 @@ from repro.harness.contention import (
     format_matrix,
     run_contention,
 )
+from tests.conftest import check_golden
 
 #: (resource, clearest mode, minimum conflict slowdown).  Measured
 #: values are 2-10x above each floor.
@@ -128,3 +129,10 @@ class TestHarness:
         assert "itlb" in text
         assert "conflict" in text and "disjoint" in text
         assert "time_sliced slowdown" in text
+
+
+def test_fast_matrix_matches_golden_record():
+    """The fast grid's cells repeat bit for bit
+    (``tests/golden/contention_fast.json``)."""
+    matrix, _, _ = run_contention(fast=True, trials=1, cache=None)
+    check_golden("contention_fast.json", matrix)

@@ -6,6 +6,8 @@ must answer the whole ``batch attacks`` grid without executing a
 single simulation.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.core.report import table2
@@ -18,6 +20,7 @@ from repro.harness.attacks import (
     table2_jobs,
 )
 from repro.harness.job import registered_names
+from tests.conftest import check_golden
 
 SECRET = b"\xa5"
 
@@ -68,13 +71,13 @@ class TestParity:
 def fast_run(tmp_path_factory):
     """One cold fast-grid run plus its cache (shared by the tests)."""
     cache = ResultCache(tmp_path_factory.mktemp("attacks") / "store")
-    results, _, summary = run_attacks(fast=True, cache=cache)
-    return results, summary, cache
+    results, outcomes, summary = run_attacks(fast=True, cache=cache)
+    return results, summary, cache, outcomes
 
 
 class TestCaching:
     def test_warm_cache_executes_nothing(self, fast_run):
-        results, cold, cache = fast_run
+        results, cold, cache, _ = fast_run
         assert cold.executed == cold.total > 0
         warm_results, _, warm = run_attacks(fast=True, cache=cache)
         assert warm.executed == 0
@@ -82,7 +85,7 @@ class TestCaching:
         assert warm_results == results
 
     def test_fast_grid_leaks(self, fast_run):
-        results, _, _ = fast_run
+        results, _, _, _ = fast_run
         assert [row.mode for row in results["table1"]] == [
             "Same address space",
             "Same address space (User/Kernel)",
@@ -97,3 +100,17 @@ class TestCaching:
         fences = {r["fence"]: r["signal"] for r in results["lfence"]}
         # Figure 10: LFENCE does not close the channel, CPUID does
         assert fences["lf"] > 4 * fences["cp"]
+
+
+def test_fast_grid_matches_golden_record(fast_run):
+    """Every group's rows and every job's raw result repeat bit for
+    bit (``tests/golden/attacks_fast.json``)."""
+    results, _, _, outcomes = fast_run
+    rows = {
+        group: [dataclasses.asdict(row) if dataclasses.is_dataclass(row)
+                else row for row in group_rows]
+        for group, group_rows in results.items()
+    }
+    jobs = [{"fn": o.job.fn, "tag": o.job.tag, "result": o.result}
+            for o in outcomes]
+    check_golden("attacks_fast.json", {"rows": rows, "jobs": jobs})
