@@ -1,10 +1,11 @@
 """Per-phase wall-clock accounting for the simulator hot path.
 
 ``repro profile`` wants to answer "where does a trial's *host* time
-go?" in pipeline terms -- fetch, decode, execute, commit -- rather
-than in Python-function terms (which cProfile already covers).
-:class:`PhaseTimer` patches the four hot entry points for the duration
-of a ``with`` block and attributes *exclusive* wall time to phases:
+go?" in pipeline terms -- fetch, decode, execute, commit, and the
+stepping loop itself -- rather than in Python-function terms (which
+cProfile already covers).  :class:`PhaseTimer` patches the hot entry
+points for the duration of a ``with`` block and attributes *exclusive*
+wall time to phases:
 
 - **fetch**   -- ``FrontEnd.fetch_block`` (DSB lookup, delivery walk,
   timing), minus the nested decode time;
@@ -13,7 +14,13 @@ of a ``with`` block and attributes *exclusive* wall time to phases:
 - **execute** -- ``Backend.process`` (functional execution plus the
   scoreboard), minus the nested commit time;
 - **commit**  -- ``Backend._store_timing`` (the bounded store-drain
-  model) plus the functional ``StoreBuffer`` drains.
+  model) plus the functional ``StoreBuffer`` drains;
+- **step**    -- ``Core._step`` minus all of the above: block epilogue,
+  squash sweeps, branch resolution.
+
+Whatever the wall time holds beyond the phases is reported as
+**other**: time outside ``Core._step`` (assembly, session
+construction, calibration, classification).
 
 Patching happens at class level, so the timer sees every core in the
 process; it is a CLI-profiling aid, not something to leave attached in
@@ -28,6 +35,7 @@ from typing import Dict, List, Tuple
 
 from repro.backend.execute import Backend
 from repro.backend.storebuffer import StoreBuffer
+from repro.cpu.core import Core
 from repro.frontend.pipeline import FrontEnd
 
 #: (phase, owning class, method name) patch points, in pipeline order.
@@ -38,10 +46,11 @@ PHASE_PATCHES: Tuple[Tuple[str, type, str], ...] = (
     ("commit", Backend, "_store_timing"),
     ("commit", StoreBuffer, "drain_upto"),
     ("commit", StoreBuffer, "drain_all"),
+    ("step", Core, "_step"),
 )
 
 #: Report ordering (phases appear once even with multiple patch points).
-PHASE_ORDER = ("fetch", "decode", "execute", "commit")
+PHASE_ORDER = ("fetch", "decode", "execute", "commit", "step")
 
 
 class PhaseTimer:
@@ -50,8 +59,10 @@ class PhaseTimer:
     Usage::
 
         with PhaseTimer() as timer:
+            start = time.perf_counter()
             run_workload()
-        for phase, seconds, share in timer.report():
+            wall = time.perf_counter() - start
+        for phase, seconds, share in timer.report(wall):
             ...
     """
 
@@ -103,12 +114,11 @@ class PhaseTimer:
         """Seconds attributed across all phases."""
         return sum(self.phases.values())
 
-    def report(self) -> List[Tuple[str, float, float]]:
-        """``(phase, cumulative seconds, share of attributed time)``
-        rows in pipeline order."""
-        total = self.total
-        return [
-            (phase, self.phases[phase],
-             self.phases[phase] / total if total else 0.0)
-            for phase in PHASE_ORDER
-        ]
+    def report(self, wall: float) -> List[Tuple[str, float, float]]:
+        """``(phase, seconds, share of wall)`` rows in pipeline order,
+        then ``other`` (``wall`` minus every phase), so the shares sum
+        to one."""
+        rows = [(phase, self.phases[phase]) for phase in PHASE_ORDER]
+        rows.append(("other", wall - self.total))
+        return [(name, seconds, seconds / wall if wall else 0.0)
+                for name, seconds in rows]

@@ -1,6 +1,8 @@
 """CLI smoke tests (fast commands only; the heavy experiments are
 covered by examples/ and benchmarks/)."""
 
+import re
+
 import pytest
 
 from repro.__main__ import main
@@ -122,6 +124,15 @@ def test_profile_command(capsys):
     assert "profile: characterize" in out
     assert "cumulative" in out
     assert "size_point" in out
+    # The phase rows plus "other" account for all of the wall time.
+    shares = {
+        m.group(1): float(m.group(2))
+        for m in re.finditer(r"^  (\w+)\s+-?[\d.]+s\s+(-?[\d.]+)%", out,
+                             re.MULTILINE)
+    }
+    assert set(shares) == {"fetch", "decode", "execute", "commit", "step",
+                           "other"}
+    assert sum(shares.values()) == pytest.approx(100.0, abs=0.5)
 
 
 def test_profile_unknown_experiment():

@@ -30,6 +30,9 @@ def test_spec_rejects_unknown_kind():
 def test_spec_rejects_unknown_field():
     with pytest.raises(SpecError, match="unknown spec field"):
         ExperimentSpec.from_json({"kind": "lint", "shoes": 2})
+    # The stepping-engine field is gone; it is unknown like any other.
+    with pytest.raises(SpecError, match="unknown spec field"):
+        ExperimentSpec.from_json({"kind": "lint", "engine": "reference"})
 
 
 def test_spec_rejects_unknown_fn():
