@@ -14,14 +14,6 @@ a worker dispatch and the experiment itself.  The acceptance bar is
 **warm p50 at least 10x lower than cold p50** at every concurrency
 level.
 
-A second section measures the **cluster tier**: the same closed-loop
-clients drive a coordinator fronting 1 / 2 / 4 single-process workers
-(:class:`~repro.serve.testing.ClusterThread`), all unique jobs, so
-throughput should scale with fleet size -- the routing, forwarding
-and shared-store plumbing is what is under test.  The bar there is
-the 4-worker fleet clearing at least 1.5x the 1-worker fleet's
-jobs/sec (ideal is ~4x; the slack absorbs forward/poll overhead).
-
 Run it directly (not via pytest)::
 
     PYTHONPATH=src python benchmarks/serve_load.py [--fast] [--json out.json]
@@ -39,11 +31,9 @@ import threading
 import time
 
 from repro.harness.cache import ResultCache
-from repro.serve.testing import ClusterThread, ServerThread
+from repro.serve.testing import ServerThread
 
 CLIENT_LEVELS = (1, 8, 32)
-
-FLEET_LEVELS = (1, 2, 4)
 
 
 def _percentile(samples, p):
@@ -105,38 +95,6 @@ def _drive(server, args, clients, tokens):
     return elapsed, latencies
 
 
-def run_cluster(args):
-    """1/2/4-worker fleet scaling: all-unique jobs through a
-    coordinator, jobs/sec per fleet size."""
-    entries = []
-    for fleet in FLEET_LEVELS:
-        with ClusterThread(workers=fleet, worker_processes=1,
-                           worker_mode="thread") as cluster:
-            jobs = args.cluster_jobs
-            tokens = [f"fleet{fleet}-{i}" for i in range(jobs)]
-            elapsed, lat = _drive(cluster, args, args.cluster_clients,
-                                  tokens)
-            counters = cluster.client().metrics()["counters"]
-        entry = {
-            "workers": fleet,
-            "clients": args.cluster_clients,
-            "jobs": jobs,
-            "seconds": round(elapsed, 4),
-            "jobs_per_sec": round(jobs / elapsed, 2),
-            "p50_ms": round(_percentile(lat, 0.50), 3),
-            "p99_ms": round(_percentile(lat, 0.99), 3),
-            "mean_ms": round(statistics.fmean(lat), 3),
-            "coordinator_executed": counters["executed"],
-        }
-        entries.append(entry)
-        print(f"  fleet w={fleet}: {entry['jobs_per_sec']:9.2f} jobs/s  "
-              f"p50={entry['p50_ms']:9.3f}ms  "
-              f"p99={entry['p99_ms']:9.3f}ms  "
-              f"executed={entry['coordinator_executed']} "
-              f"({jobs} jobs in {entry['seconds']:.2f}s)")
-    return entries
-
-
 def run(args):
     cache = ResultCache(args.cache_dir) if args.cache_dir else ResultCache(
         f"/tmp/repro-serve-load-{int(time.time() * 1e6)}")
@@ -184,26 +142,12 @@ def run(args):
             "jobs_per_client": args.jobs_per_client,
             "sleep_seconds": args.sleep_seconds,
             "spin_n": args.spin_n,
-            "cluster_jobs": args.cluster_jobs,
-            "cluster_clients": args.cluster_clients,
         },
         "phases": phases,
         "warm_p50_speedup_by_clients": speedups,
         "server_counters": metrics["counters"],
     }
     print(f"\n  warm p50 speedup by concurrency: {speedups}")
-
-    scaling = None
-    if not args.no_cluster:
-        print(f"\nserve_load: cluster scaling, fleets {FLEET_LEVELS} "
-              f"({args.cluster_jobs} unique jobs, "
-              f"{args.cluster_clients} clients)")
-        entries = run_cluster(args)
-        doc["cluster_scaling"] = entries
-        scaling = round(entries[-1]["jobs_per_sec"]
-                        / max(entries[0]["jobs_per_sec"], 1e-6), 2)
-        doc["cluster_speedup_4v1"] = scaling
-        print(f"\n  cluster 4-vs-1 worker speedup: {scaling}x")
 
     if args.json:
         with open(args.json, "w") as fh:
@@ -218,13 +162,6 @@ def run(args):
     )
     print(f"  PASS: warm p50 >= 10x lower than cold "
           f"(worst level: {floor:.1f}x)")
-    if scaling is not None:
-        assert scaling >= 1.5, (
-            f"4-worker fleet must clear >= 1.5x the 1-worker fleet's "
-            f"throughput; measured {scaling}x"
-        )
-        print(f"  PASS: 4-worker fleet >= 1.5x the 1-worker fleet "
-              f"({scaling}x)")
     return doc
 
 
@@ -242,18 +179,11 @@ def main(argv=None):
                         help="smoke-size run (shorter jobs, fewer per client)")
     parser.add_argument("--cache-dir", default=None)
     parser.add_argument("--json", default=None, metavar="PATH")
-    parser.add_argument("--cluster-jobs", type=int, default=24,
-                        help="unique jobs per fleet-scaling run")
-    parser.add_argument("--cluster-clients", type=int, default=8,
-                        help="closed-loop clients driving the coordinator")
-    parser.add_argument("--no-cluster", action="store_true",
-                        help="skip the 1/2/4-worker fleet scaling section")
     args = parser.parse_args(argv)
     if args.fast:
         args.jobs_per_client = 2
         args.sleep_seconds = 0.05
         args.spin_n = 200_000
-        args.cluster_jobs = 12
     print(f"serve_load: closed-loop clients {CLIENT_LEVELS}, "
           f"{args.workers} workers, "
           f"workload {'spin' if args.spin else 'sleep'}")

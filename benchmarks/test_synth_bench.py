@@ -3,7 +3,7 @@
 ``BENCH_synth.json`` (next to this file) is committed so the search's
 quality trajectory is visible across PRs.  One seeded
 ``repro.synth`` run under a fixed budget drives its finalists through
-an in-process coordinator fleet (2 workers) and must:
+an in-process 2-worker service and must:
 
 - **rediscover the paper's operating point**: the best measured
   candidate's bandwidth beats the hand-written covert channel's
@@ -14,11 +14,11 @@ an in-process coordinator fleet (2 workers) and must:
   taint-derived rate and the measured bandwidth over all measured
   candidates is positive;
 - **dedupe perfectly**: an identical warm rerun against the same
-  fleet executes zero new jobs.
+  service executes zero new jobs.
 
 The artifact records the per-generation funnel, the best fitness
 under every objective (scored from the same measured rows -- one
-search serves all three), and the fleet's executed/coalesced
+search serves all three), and the service's executed/coalesced
 counters.  Regenerate with
 ``pytest benchmarks/test_synth_bench.py --benchmark-only -s``.
 """
@@ -29,7 +29,8 @@ import time
 
 from benchmarks.conftest import banner, run_once
 from repro.core.report import table1_row
-from repro.serve.testing import ClusterThread
+from repro.harness.cache import ResultCache
+from repro.serve.testing import ServerThread
 from repro.synth import (
     OBJECTIVES,
     ServeEvaluator,
@@ -44,26 +45,25 @@ ARTIFACT = pathlib.Path(__file__).with_name("BENCH_synth.json")
 BUDGET = 120
 
 
-def _search_once(cluster):
+def _search_once(server):
     config = SynthConfig(budget=BUDGET, detector_bits=4)
-    evaluator = ServeEvaluator(cluster.client(), max_in_flight=8)
+    evaluator = ServeEvaluator(server.client(), max_in_flight=8)
     start = time.monotonic()
     result = run_search(config, evaluator)
     elapsed = time.monotonic() - start
     return config, evaluator, result, elapsed
 
 
-def test_synth_search_acceptance(benchmark):
-    with ClusterThread(workers=2, worker_processes=1,
-                       worker_mode="thread") as cluster:
+def test_synth_search_acceptance(benchmark, tmp_path):
+    with ServerThread(cache=ResultCache(tmp_path), workers=2) as server:
         config, evaluator, result, elapsed = run_once(
-            benchmark, lambda: _search_once(cluster))
+            benchmark, lambda: _search_once(server))
 
         # identical warm rerun: every measurement answered from the
-        # fleet's shared store, zero new executions
-        warm = ServeEvaluator(cluster.client(), max_in_flight=8)
+        # service's result store, zero new executions
+        warm = ServeEvaluator(server.client(), max_in_flight=8)
         rerun = run_search(config, warm)
-        counters = cluster.client().metrics()["counters"]
+        counters = server.client().metrics()["counters"]
 
     best = result.best
     assert best is not None and best.row is not None
@@ -97,7 +97,7 @@ def test_synth_search_acceptance(benchmark):
         for name, obj in OBJECTIVES.items()
     }
 
-    banner(f"Attack synthesis -- budget {BUDGET}, 2-worker fleet")
+    banner(f"Attack synthesis -- budget {BUDGET}, 2-worker service")
     for gen in result.generations:
         print(f"  gen {gen.generation}: raw={gen.raw:3d} "
               f"rejected={gen.rejected_assembly + gen.rejected_lint:3d} "
@@ -111,13 +111,13 @@ def test_synth_search_acceptance(benchmark):
           + f" {best.row['bandwidth_kbps']:.1f} Kbit/s "
           f"(hand-written Table-I row: {baseline.bandwidth_kbps:.1f})")
     print(f"  spearman(static, measured) = {rho:.3f} over n={len(static)}")
-    print(f"  fleet: executed={counters['executed']} "
+    print(f"  serve: executed={counters['executed']} "
           f"coalesced={counters['coalesced']}; warm rerun executed 0")
     print(f"  cold search: {elapsed:.1f}s")
 
     doc = {
         "workload": f"seeded synth search, budget {BUDGET}, "
-                    "2-worker fleet",
+                    "2-worker service",
         "budget": BUDGET,
         "seed": config.seed,
         "generations": [g.as_dict() for g in result.generations],

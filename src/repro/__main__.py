@@ -39,8 +39,8 @@ Synthesis (``repro.synth``):
 
 - ``synth``         -- automated attack synthesis: a seeded
   generate -> lint -> submit -> score search over the attack-program
-  space; finalists measured locally, against a running service
-  (``--port``), or an in-process fleet (``--fleet K``)
+  space; finalists measured locally or against a running service
+  (``--port``)
 """
 
 from __future__ import annotations
@@ -572,32 +572,17 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     config = SynthConfig(**kwargs)
     cache = _make_cache(args)
 
-    cluster = None
-    try:
-        if args.port is not None:
-            from repro.serve.client import ServeClient
+    if args.port is not None:
+        from repro.serve.client import ServeClient
 
-            client = ServeClient(host=args.host, port=args.port)
-            evaluator = ServeEvaluator(
-                client, max_in_flight=args.in_flight,
-                timeout=args.timeout)
-        elif args.fleet:
-            from repro.serve.testing import ClusterThread
-
-            print(f"synth: booting in-process fleet "
-                  f"({args.fleet} workers)...")
-            cluster = ClusterThread(workers=args.fleet).start()
-            evaluator = ServeEvaluator(
-                cluster.client(), max_in_flight=args.in_flight,
-                timeout=args.timeout)
-        else:
-            evaluator = LocalEvaluator(
-                workers=args.jobs, cache=cache, timeout=args.timeout)
-        result = run_search(config, evaluator, cache=cache,
-                            log=lambda msg: print(f"synth: {msg}"))
-    finally:
-        if cluster is not None:
-            cluster.stop()
+        client = ServeClient(host=args.host, port=args.port)
+        evaluator = ServeEvaluator(
+            client, max_in_flight=args.in_flight, timeout=args.timeout)
+    else:
+        evaluator = LocalEvaluator(
+            workers=args.jobs, cache=cache, timeout=args.timeout)
+    result = run_search(config, evaluator, cache=cache,
+                        log=lambda msg: print(f"synth: {msg}"))
 
     report = best_report(result)
     funnel = report.get("funnel", {})
@@ -655,38 +640,16 @@ def _cmd_cache(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    if args.coordinator and args.worker:
-        raise SystemExit("--coordinator and --worker are mutually exclusive")
-
-    if args.coordinator:
-        from repro.serve.cluster import run_coordinator
-
-        port = args.port if args.port != 8787 else 8786
-        print(f"repro serve: coordinator on {args.host}:{port}"
-              + (f" (shared store {args.shared_store})"
-                 if args.shared_store else ""))
-        print("workers register via POST /v1/workers/register; start them "
-              "with: repro serve --worker HOST:PORT")
-        run_coordinator(host=args.host, port=port,
-                        shared_store=args.shared_store)
-        print("repro serve: coordinator drained")
-        return 0
-
     print(f"repro serve: listening on {args.host}:{args.port} "
           f"({args.workers} worker(s), queue capacity "
           f"{args.queue_capacity}, mode {args.worker_mode})")
-    if args.worker:
-        print(f"cluster worker: registering with coordinator {args.worker}")
     print("SIGTERM/SIGINT drains gracefully: running jobs finish, "
           "new submissions get 503")
     from repro.serve.server import run_server
 
     run_server(host=args.host, port=args.port, workers=args.workers,
                queue_capacity=args.queue_capacity, cache=_make_cache(args),
-               worker_mode=args.worker_mode,
-               shared_store=args.shared_store,
-               coordinator_url=args.worker,
-               advertise_host=args.advertise_host)
+               worker_mode=args.worker_mode)
     print("repro serve: drained")
     return 0
 
@@ -961,8 +924,8 @@ def main(argv=None) -> int:
                     "staged static fitness pipeline (assemble / lint / "
                     "taint) killing most raw candidates for free, and "
                     "measured evaluation of the finalists through the "
-                    "content-addressed harness -- locally, against a "
-                    "running 'repro serve', or an in-process fleet.",
+                    "content-addressed harness -- locally or against a "
+                    "running 'repro serve'.",
     )
     p.add_argument("--objective", default="bandwidth",
                    choices=["bandwidth", "capacity", "stealth"],
@@ -984,13 +947,9 @@ def main(argv=None) -> int:
                    help="(--port) service host")
     p.add_argument("--port", type=int, default=None, metavar="PORT",
                    help="measure finalists against a running "
-                        "'repro serve' (single service or coordinator)")
-    p.add_argument("--fleet", type=int, default=None, metavar="K",
-                   help="boot an in-process coordinator + K workers and "
-                        "measure finalists through it")
+                        "'repro serve'")
     p.add_argument("--in-flight", type=int, default=8, metavar="N",
-                   help="(--port/--fleet) bounded batch concurrency "
-                        "(default 8)")
+                   help="(--port) bounded batch concurrency (default 8)")
     p.add_argument("--timeout", type=float, default=None, metavar="SEC",
                    help="per-measurement budget")
     p.add_argument("--cache-dir", default=None, metavar="DIR",
@@ -1032,22 +991,6 @@ def main(argv=None) -> int:
                         "$REPRO_CACHE_DIR or ~/.cache/repro)")
     p.add_argument("--no-cache", action="store_true",
                    help="serve without a result store (no warm answers)")
-    p.add_argument("--coordinator", action="store_true",
-                   help="run the cluster coordinator instead of a worker "
-                        "service: route submissions to registered workers "
-                        "by rendezvous-hashed job key, coalesce identical "
-                        "fleet submissions, split sweeps, evict dead "
-                        "workers (default port 8786)")
-    p.add_argument("--worker", default=None, metavar="COORD",
-                   help="run as a cluster worker registering with the "
-                        "coordinator at COORD (host:port)")
-    p.add_argument("--shared-store", default=None, metavar="DIR",
-                   help="fleet-shared read-through result store directory "
-                        "(workers write through to it; the coordinator "
-                        "answers warm submissions from it)")
-    p.add_argument("--advertise-host", default=None, metavar="HOST",
-                   help="(--worker) hostname to register with the "
-                        "coordinator (default: --host)")
     p.set_defaults(fn=_cmd_serve)
 
     p = sub.add_parser(

@@ -38,7 +38,6 @@ from repro.harness.cache import (
     CacheStats,
     NullCache,
     ResultCache,
-    TieredResultCache,
     default_cache_dir,
 )
 from repro.harness.executor import (
@@ -70,7 +69,6 @@ __all__ = [
     "ResultCache",
     "RunSummary",
     "Sweep",
-    "TieredResultCache",
     "TransientJobError",
     "canonical_json",
     "default_cache_dir",

@@ -21,12 +21,6 @@ counted as a miss, so the serve worker never re-trips on the same
 corrupt file and an operator can inspect what went wrong.  Artifacts
 get the same treatment via a ``<name>.sha256`` sidecar written next
 to every artifact blob.
-
-:class:`TieredResultCache` stacks the stores for the cluster tier:
-an in-memory hot LRU in front of the local disk store, with an
-optional *shared* read-through store (a network/shared directory all
-nodes mount) behind it -- gets promote hits forward, puts write
-through every tier.
 """
 
 from __future__ import annotations
@@ -35,11 +29,9 @@ import hashlib
 import json
 import os
 import tempfile
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, Optional
+from typing import Any, Optional
 
 from repro.harness.job import CACHE_SCHEMA_VERSION, canonical_json
 
@@ -166,11 +158,11 @@ class ResultCache:
 
     # ------------------------------------------------------------------
 
-    def get_record(self, key: str) -> Optional[Dict[str, Any]]:
-        """Full validated cache record for ``key`` (``schema``/``key``/
-        ``fn``/``result``), or ``None`` on a miss.  A file that exists
-        but fails validation -- truncated JSON from a crashed writer,
-        foreign schema, mismatched key -- is quarantined, never raised.
+    def get(self, key: str) -> Optional[Any]:
+        """Cached result for ``key``, or ``None`` on any kind of miss.
+        A file that exists but fails validation -- truncated JSON from
+        a crashed writer, foreign schema, mismatched key -- is
+        quarantined, never raised.
         """
         path = self.path_for(key)
         try:
@@ -188,13 +180,7 @@ class ResultCache:
                 or "result" not in record):
             self._quarantine(path)
             return None
-        return record
-
-    def get(self, key: str) -> Optional[Any]:
-        """Cached result for ``key``, or ``None`` on any kind of miss
-        (absent, unreadable, corrupt -- corrupt blobs are quarantined)."""
-        record = self.get_record(key)
-        return None if record is None else record["result"]
+        return record["result"]
 
     def put(self, key: str, fn: str, result: Any) -> Path:
         """Atomically store ``result`` under ``key``.
@@ -390,149 +376,6 @@ class ResultCache:
                 except OSError:
                     pass
         return removed
-
-
-class TieredResultCache:
-    """Three-tier store: in-memory hot LRU -> local disk -> shared.
-
-    The cluster's cache hierarchy.  ``get`` walks the tiers in order
-    and *promotes* hits forward (a shared-store hit is copied into the
-    local store and pinned in the hot set, so the next read never
-    leaves the node); ``put`` writes through every tier, which is what
-    makes a result computed by one worker visible to the whole fleet
-    via the shared directory.
-
-    The memory tier is bounded (``memory_capacity`` entries, LRU) and
-    thread-safe; the disk tiers inherit :class:`ResultCache`'s atomic
-    multi-process-safe writes.  ``clear`` empties the node-local tiers
-    only -- the shared store belongs to the fleet, not this node.
-
-    Exposes the full :class:`ResultCache` surface (``get``/``put``/
-    artifacts/``stats``/``clear``/``root``), so every existing
-    consumer -- the serve fast path, the worker tier, ``run_jobs`` --
-    can take one interchangeably.
-    """
-
-    def __init__(self, local: Optional[ResultCache] = None,
-                 shared: Optional[ResultCache] = None,
-                 memory_capacity: int = 512):
-        self.local = local if local is not None else ResultCache()
-        self.shared = shared
-        self.memory_capacity = max(0, int(memory_capacity))
-        self._hot: "OrderedDict[str, Any]" = OrderedDict()
-        self._hot_lock = threading.Lock()
-        self.tier_hits = {"memory": 0, "local": 0, "shared": 0}
-
-    @classmethod
-    def from_roots(cls, local_root: Optional[os.PathLike] = None,
-                   shared_root: Optional[os.PathLike] = None,
-                   memory_capacity: int = 512) -> "TieredResultCache":
-        shared = ResultCache(shared_root) if shared_root is not None else None
-        return cls(ResultCache(local_root), shared,
-                   memory_capacity=memory_capacity)
-
-    @property
-    def root(self) -> Path:
-        """The node-local root (what worker processes are handed)."""
-        return self.local.root
-
-    @property
-    def shared_root(self) -> Optional[Path]:
-        return None if self.shared is None else self.shared.root
-
-    # ------------------------------------------------------------------
-    # memory tier
-
-    def _hot_get(self, key: str) -> Optional[Any]:
-        if not self.memory_capacity:
-            return None
-        with self._hot_lock:
-            try:
-                self._hot.move_to_end(key)
-            except KeyError:
-                return None
-            return self._hot[key]
-
-    def _hot_put(self, key: str, result: Any) -> None:
-        if not self.memory_capacity:
-            return
-        with self._hot_lock:
-            self._hot[key] = result
-            self._hot.move_to_end(key)
-            while len(self._hot) > self.memory_capacity:
-                self._hot.popitem(last=False)
-
-    @property
-    def hot_keys(self) -> int:
-        with self._hot_lock:
-            return len(self._hot)
-
-    # ------------------------------------------------------------------
-    # results
-
-    def get(self, key: str) -> Optional[Any]:
-        hit = self._hot_get(key)
-        if hit is not None:
-            self.tier_hits["memory"] += 1
-            return hit
-        record = self.local.get_record(key)
-        if record is not None:
-            self.tier_hits["local"] += 1
-            self._hot_put(key, record["result"])
-            return record["result"]
-        if self.shared is not None:
-            record = self.shared.get_record(key)
-            if record is not None:
-                self.tier_hits["shared"] += 1
-                # promote: next read is local-disk (or memory) fast
-                self.local.put(key, record.get("fn", "?"), record["result"])
-                self._hot_put(key, record["result"])
-                return record["result"]
-        return None
-
-    def put(self, key: str, fn: str, result: Any) -> Path:
-        path = self.local.put(key, fn, result)
-        if self.shared is not None:
-            self.shared.put(key, fn, result)
-        self._hot_put(key, result)
-        return path
-
-    def __contains__(self, key: str) -> bool:
-        return self.get(key) is not None
-
-    # ------------------------------------------------------------------
-    # artifacts (disk tiers only -- artifacts can be megabytes)
-
-    def put_artifact(self, key: str, name: str, data) -> Path:
-        path = self.local.put_artifact(key, name, data)
-        if self.shared is not None:
-            self.shared.put_artifact(key, name, data)
-        return path
-
-    def get_artifact(self, key: str, name: str) -> Optional[bytes]:
-        blob = self.local.get_artifact(key, name)
-        if blob is not None:
-            return blob
-        if self.shared is not None:
-            blob = self.shared.get_artifact(key, name)
-            if blob is not None:
-                self.local.put_artifact(key, name, blob)
-        return blob
-
-    def artifact_path(self, key: str, name: str) -> Path:
-        return self.local.artifact_path(key, name)
-
-    # ------------------------------------------------------------------
-
-    def stats(self) -> CacheStats:
-        """Node-local footprint (the shared store is the fleet's)."""
-        return self.local.stats()
-
-    def clear(self) -> int:
-        """Clear the node-local tiers; the shared store is untouched."""
-        with self._hot_lock:
-            self._hot.clear()
-        return self.local.clear()
 
 
 class NullCache:

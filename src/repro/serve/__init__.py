@@ -21,12 +21,6 @@ framing -- no new dependencies):
   ``/healthz`` and ``/metrics`` surface queue depth, coalescing and
   cache hit-rates and per-kind latency histograms built on the
   :mod:`repro.observe` event bus.
-- **Cluster mode** (:mod:`repro.serve.cluster`): a coordinator routes
-  submissions to N registered worker nodes by rendezvous-hashing
-  their job keys, coalesces identical fleet-wide submissions, splits
-  sweeps across the fleet, and evicts/reroutes around dead workers;
-  results tier through memory -> local disk -> a shared read-through
-  store (:class:`repro.harness.cache.TieredResultCache`).
 
 Quick start::
 
@@ -46,10 +40,8 @@ See ``docs/SERVE.md`` for the full API reference.
 """
 
 from repro.serve.client import Backpressure, ServeClient, ServeError
-from repro.serve.cluster import ClusterError, CoordinatorService
 from repro.serve.metrics import SERVE_KINDS, ServiceMetrics
 from repro.serve.queue import BoundedPriorityQueue, QueueClosed, QueueFull
-from repro.serve.router import RendezvousRouter, WorkerNode
 from repro.serve.spec import (
     KINDS,
     SPEC_SCHEMA_VERSION,
@@ -61,19 +53,15 @@ from repro.serve.worker import WorkerTier
 __all__ = [
     "Backpressure",
     "BoundedPriorityQueue",
-    "ClusterError",
-    "CoordinatorService",
     "ExperimentSpec",
     "KINDS",
     "QueueClosed",
     "QueueFull",
-    "RendezvousRouter",
     "SERVE_KINDS",
     "SPEC_SCHEMA_VERSION",
     "ServeClient",
     "ServeError",
     "ServiceMetrics",
     "SpecError",
-    "WorkerNode",
     "WorkerTier",
 ]

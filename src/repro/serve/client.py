@@ -12,13 +12,6 @@ giving up.  Every deadline the client enforces (``wait``'s timeout,
 the backpressure backoff) is clamped against the caller's remaining
 budget on the monotonic clock, and ``timeout=0`` means exactly one
 non-blocking check.
-
-Cluster mode: constructed with ``endpoints=["hostA:8786",
-"hostB:8786"]`` the client talks to whichever endpoint answers,
-failing over to the next on a transport error (connection refused,
-reset) and staying sticky on the one that worked.  HTTP error
-*documents* (429, 409, ...) come from a live server and do not
-trigger failover.
 """
 
 from __future__ import annotations
@@ -26,7 +19,7 @@ from __future__ import annotations
 import http.client
 import json
 import time
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 _TERMINAL = ("done", "failed", "timeout", "cancelled")
 
@@ -48,61 +41,20 @@ class Backpressure(ServeError):
         self.retry_after = retry_after
 
 
-def _parse_endpoint(endpoint: Union[str, Tuple[str, int]]) -> Tuple[str, int]:
-    if isinstance(endpoint, str):
-        host, _, port = endpoint.rpartition(":")
-        return host or "127.0.0.1", int(port)
-    host, port = endpoint
-    return host, int(port)
-
-
 class ServeClient:
-    """Synchronous HTTP client for one service (or a fleet of them)."""
+    """Synchronous HTTP client for one service."""
 
     def __init__(self, host: str = "127.0.0.1", port: int = 8787,
-                 timeout: float = 300.0,
-                 endpoints: Optional[
-                     Sequence[Union[str, Tuple[str, int]]]] = None):
-        if endpoints:
-            self._endpoints: List[Tuple[str, int]] = [
-                _parse_endpoint(e) for e in endpoints]
-        else:
-            self._endpoints = [(host, int(port))]
-        self._active = 0
+                 timeout: float = 300.0):
+        self.host = host
+        self.port = int(port)
         self.timeout = timeout
-
-    @property
-    def host(self) -> str:
-        return self._endpoints[self._active][0]
-
-    @property
-    def port(self) -> int:
-        return self._endpoints[self._active][1]
-
-    @property
-    def endpoints(self) -> List[Tuple[str, int]]:
-        return list(self._endpoints)
 
     # ------------------------------------------------------------------
     # plumbing
 
     def _request(self, method: str, path: str,
                  body: Optional[Dict[str, Any]] = None) -> Dict[str, Any]:
-        """One exchange with transport-level failover: a connection
-        error rotates to the next endpoint; an HTTP error document is
-        from a live server and propagates as-is."""
-        last_exc: Optional[Exception] = None
-        for _ in range(len(self._endpoints)):
-            try:
-                return self._request_one(method, path, body)
-            except (OSError, http.client.HTTPException) as exc:
-                last_exc = exc
-                self._active = (self._active + 1) % len(self._endpoints)
-        raise ConnectionError(
-            f"no endpoint answered {method} {path}: {last_exc}")
-
-    def _request_one(self, method: str, path: str,
-                     body: Optional[Dict[str, Any]] = None) -> Dict[str, Any]:
         conn = http.client.HTTPConnection(self.host, self.port,
                                           timeout=self.timeout)
         try:
@@ -256,7 +208,7 @@ class ServeClient:
                 raise TimeoutError(
                     f"submit_many: {len(pending)} unsubmitted, "
                     f"{len(in_flight)} in flight after {timeout}s")
-            # top up the window, unless the fleet asked for a pause
+            # top up the window, unless the server asked for a pause
             while (pending and len(in_flight) < max_in_flight
                    and time.monotonic() >= pause_until):
                 index, spec, attempts = pending.pop()

@@ -25,7 +25,6 @@ JOB_CACHE_HIT = "job_cache_hit"    # answered from the result cache
 JOB_REJECTED = "job_rejected"      # backpressure (429) or draining (503)
 JOB_STARTED = "job_started"        # dispatched to the worker tier
 JOB_FINISHED = "job_finished"      # terminal: done/failed/timeout/cancelled
-JOB_FORWARDED = "job_forwarded"    # arrived via a cluster coordinator
 
 SERVE_KINDS: Tuple[str, ...] = (
     JOB_SUBMITTED,
@@ -34,7 +33,6 @@ SERVE_KINDS: Tuple[str, ...] = (
     JOB_REJECTED,
     JOB_STARTED,
     JOB_FINISHED,
-    JOB_FORWARDED,
 )
 
 #: Histogram bucket upper bounds, milliseconds.
@@ -120,7 +118,6 @@ class ServiceMetrics:
             "failed": 0,
             "timeouts": 0,
             "cancelled": 0,
-            "forwarded": 0,    # submissions relayed by a coordinator
         }
         self.latency: Dict[str, LatencyHistogram] = {}
         self.started_monotonic = time.monotonic()
@@ -146,9 +143,6 @@ class ServiceMetrics:
 
     def started(self, spec_kind: str, key: str) -> None:
         self._emit(JOB_STARTED, spec_kind=spec_kind, key=key)
-
-    def forwarded(self, spec_kind: str, key: str) -> None:
-        self._emit(JOB_FORWARDED, spec_kind=spec_kind, key=key)
 
     def finished(self, spec_kind: str, key: str, status: str,
                  seconds: float) -> None:
@@ -177,8 +171,6 @@ class ServiceMetrics:
             self.counters["rejected"] += 1
         elif kind == JOB_STARTED:
             self.counters["executed"] += 1
-        elif kind == JOB_FORWARDED:
-            self.counters["forwarded"] += 1
         elif kind == JOB_FINISHED:
             status = str(event.get("status"))
             counter = self._STATUS_COUNTER.get(status)

@@ -28,14 +28,6 @@ record for operators to correlate with logs, while every *duration*
 the service computes -- queue wait, job latency, the histogram feed --
 comes from ``time.monotonic()`` captured at the same edges, so an NTP
 step can skew a displayed timestamp but never a latency metric.
-
-Cluster mode: constructed with a ``coordinator_url`` the service is a
-*worker node* -- it registers itself with the coordinator on start
-and re-registers on a heartbeat interval (registration doubles as the
-liveness signal and as recovery after an eviction), and submissions
-relayed by the coordinator arrive on the same ``POST /v1/jobs`` route
-flagged ``?forwarded=1`` so ``/metrics`` can tell fleet traffic from
-direct traffic.  See :mod:`repro.serve.cluster` for the coordinator.
 """
 
 from __future__ import annotations
@@ -45,11 +37,11 @@ import itertools
 import json
 import signal
 import time
+from concurrent.futures.process import BrokenProcessPool
 from typing import Any, Dict, List, Optional, Tuple
-from urllib.parse import parse_qs, urlparse
 
-from repro.harness.cache import ResultCache, TieredResultCache
-from repro.serve.http import FetchError, http_fetch, read_request, respond
+from repro.harness.cache import ResultCache
+from repro.serve.http import read_request, respond
 from repro.serve.metrics import ServiceMetrics
 from repro.serve.queue import BoundedPriorityQueue, QueueClosed, QueueFull
 from repro.serve.spec import ExperimentSpec, SpecError
@@ -62,9 +54,6 @@ TIMEOUT_GRACE_S = 10.0
 
 #: Ceiling for specs that declare no timeout of their own.
 DEFAULT_JOB_CEILING_S = 600.0
-
-#: How often a cluster worker re-registers with its coordinator.
-HEARTBEAT_INTERVAL_S = 2.0
 
 _TERMINAL = ("done", "failed", "timeout", "cancelled")
 
@@ -159,8 +148,7 @@ class JobRecord:
 async def stream_record_events(record: JobRecord,
                                writer: asyncio.StreamWriter) -> None:
     """NDJSON lifecycle stream for one record; ends with an ``end``
-    event carrying the terminal record.  Shared by the single-node
-    service and the cluster coordinator."""
+    event carrying the terminal record."""
     headers = ("HTTP/1.1 200 OK\r\n"
                "Content-Type: application/x-ndjson\r\n"
                "Connection: close\r\n\r\n")
@@ -202,36 +190,20 @@ class ExperimentService:
     def __init__(self, host: str = "127.0.0.1", port: int = 8787,
                  workers: int = 2, queue_capacity: int = 64,
                  cache: Optional[ResultCache] = None,
-                 worker_mode: str = "process",
-                 shared_store: Optional[str] = None,
-                 coordinator_url: Optional[str] = None,
-                 advertise_host: Optional[str] = None):
+                 worker_mode: str = "process"):
         self.host = host
         self.port = port
-        if shared_store is not None and not isinstance(cache,
-                                                       TieredResultCache):
-            # Promote the local store to the cluster tiering: memory
-            # hot set in front, shared read-through store behind.
-            local = cache if cache is not None else ResultCache()
-            self.cache: Any = TieredResultCache(
-                local, ResultCache(shared_store))
-        else:
-            self.cache = cache if cache is not None else ResultCache()
-        shared_root = getattr(self.cache, "shared_root", None)
+        self.cache = cache if cache is not None else ResultCache()
         self.queue = BoundedPriorityQueue(capacity=queue_capacity)
         self.tier = WorkerTier(workers=workers, cache_root=self.cache.root,
-                               mode=worker_mode, shared_root=shared_root)
+                               mode=worker_mode)
         self.metrics = ServiceMetrics()
         self.jobs: Dict[str, JobRecord] = {}       # id -> record (all)
         self.active: Dict[str, JobRecord] = {}     # key -> in-flight record
         self.draining = False
-        self.coordinator_url = coordinator_url
-        self.advertise_host = advertise_host
-        self.registered = False        # last heartbeat reached coordinator
         self._job_ids = itertools.count(1)
         self._server: Optional[asyncio.base_events.Server] = None
         self._runners: List[asyncio.Task] = []
-        self._heartbeat: Optional[asyncio.Task] = None
         self._drained = asyncio.Event()
         self._runner_count = max(1, int(workers))
 
@@ -247,17 +219,12 @@ class ExperimentService:
         self._server = await asyncio.start_server(
             self._handle_connection, self.host, self.port)
         self.port = self._server.sockets[0].getsockname()[1]
-        if self.coordinator_url:
-            self._heartbeat = asyncio.create_task(
-                self._register_loop(), name="serve-register")
 
     async def request_drain(self) -> None:
         """Graceful shutdown: refuse new work, finish accepted work."""
         if self.draining:
             return
         self.draining = True
-        if self._heartbeat is not None:
-            self._heartbeat.cancel()
         await self.queue.close()
         if self._runners:
             await asyncio.gather(*self._runners, return_exceptions=True)
@@ -266,42 +233,6 @@ class ExperimentService:
             await self._server.wait_closed()
         self.tier.shutdown(wait=True)
         self._drained.set()
-
-    # ------------------------------------------------------------------
-    # cluster-worker registration
-
-    def _advertised(self) -> Tuple[str, int]:
-        host = self.advertise_host or self.host
-        if host in ("0.0.0.0", "::"):
-            host = "127.0.0.1"
-        return host, self.port
-
-    async def _register_once(self) -> bool:
-        """One registration heartbeat; ``True`` when the coordinator
-        acknowledged."""
-        parsed = urlparse(self.coordinator_url
-                          if "//" in str(self.coordinator_url)
-                          else f"http://{self.coordinator_url}")
-        host, port = parsed.hostname or "127.0.0.1", parsed.port or 8786
-        ad_host, ad_port = self._advertised()
-        try:
-            status, _doc = await http_fetch(
-                host, port, "POST", "/v1/workers/register",
-                body={"host": ad_host, "port": ad_port,
-                      "workers": self.tier.workers},
-                timeout=10.0)
-        except FetchError:
-            return False
-        return status == 200
-
-    async def _register_loop(self) -> None:
-        """Register on start, then heartbeat forever.  The coordinator
-        treats every beat as an idempotent upsert, so a worker that
-        was evicted (crash, partition) rejoins the fleet simply by
-        being heard from again."""
-        while not self.draining:
-            self.registered = await self._register_once()
-            await asyncio.sleep(HEARTBEAT_INTERVAL_S)
 
     async def wait_drained(self) -> None:
         await self._drained.wait()
@@ -405,12 +336,10 @@ class ExperimentService:
         record.started_mono = time.monotonic()
         record.publish("started")
         self.metrics.started(spec.kind, record.key)
-        loop = asyncio.get_running_loop()
         status, result, error = "failed", None, "unknown worker failure"
         try:
-            future = self.tier.submit(spec)
-            wrapped = asyncio.wrap_future(future, loop=loop)
-            report = await asyncio.wait_for(wrapped, self._ceiling(spec))
+            report = await asyncio.wait_for(self._run_on_tier(spec),
+                                            self._ceiling(spec))
             if report.get("ok"):
                 status, result, error = "done", report.get("result"), None
             else:
@@ -428,13 +357,22 @@ class ExperimentService:
             self.metrics.finished(
                 spec.describe(), record.key, status, record.latency_s())
 
+    async def _run_on_tier(self, spec: ExperimentSpec) -> Dict[str, Any]:
+        """The worker's report for ``spec``.  A job lost with a broken
+        process pool (a worker died under it) reruns once on the
+        replacement pool the tier builds."""
+        try:
+            return await asyncio.wrap_future(self.tier.submit(spec))
+        except BrokenProcessPool:
+            return await asyncio.wrap_future(self.tier.submit(spec))
+
     # ------------------------------------------------------------------
     # HTTP plumbing
 
     async def _handle_connection(self, reader: asyncio.StreamReader,
                                  writer: asyncio.StreamWriter) -> None:
         try:
-            request = await self._read_request(reader)
+            request = await read_request(reader)
             if request is None:
                 return
             method, path, body = request
@@ -448,84 +386,75 @@ class ExperimentService:
             except (ConnectionResetError, BrokenPipeError, OSError):
                 pass
 
-    # request framing and response writing live in repro.serve.http,
-    # shared with the cluster coordinator
-    _read_request = staticmethod(read_request)
-    _respond = staticmethod(respond)
-
     async def _route(self, method: str, path: str, body: bytes,
                      writer: asyncio.StreamWriter) -> None:
         parts = [p for p in path.split("?", 1)[0].split("/") if p]
 
         if method == "GET" and parts == ["healthz"]:
-            await self._respond(writer, 200, self._healthz())
+            await respond(writer, 200, self._healthz())
             return
         if method == "GET" and parts == ["metrics"]:
-            await self._respond(writer, 200, self._metrics_doc())
+            await respond(writer, 200, self._metrics_doc())
             return
         if parts[:2] != ["v1", "jobs"]:
-            await self._respond(writer, 404, {"error": f"no route {path}"})
+            await respond(writer, 404, {"error": f"no route {path}"})
             return
 
         if method == "POST" and len(parts) == 2:
-            query = parse_qs(urlparse(path).query)
-            forwarded = query.get("forwarded", ["0"])[0] in ("1", "true")
-            await self._post_job(body, writer, forwarded=forwarded)
+            await self._post_job(body, writer)
             return
         if method == "GET" and len(parts) == 2:
             listing = [r.to_json() for r in self.jobs.values()]
-            await self._respond(writer, 200, {"jobs": listing})
+            await respond(writer, 200, {"jobs": listing})
             return
 
         record = self.jobs.get(parts[2]) if len(parts) >= 3 else None
         if record is None:
-            await self._respond(writer, 404,
-                                {"error": f"unknown job {parts[2:3]}"})
+            await respond(writer, 404,
+                          {"error": f"unknown job {parts[2:3]}"})
             return
 
         if method == "GET" and len(parts) == 3:
-            await self._respond(writer, 200, record.to_json())
+            await respond(writer, 200, record.to_json())
         elif method == "DELETE" and len(parts) == 3:
             if self.cancel(record):
-                await self._respond(writer, 200, record.to_json())
+                await respond(writer, 200, record.to_json())
             else:
-                await self._respond(
+                await respond(
                     writer, 409,
                     {"error": f"job is {record.status}; only queued "
                               f"jobs can be cancelled",
                      "record": record.to_json()})
         elif method == "GET" and len(parts) == 4 and parts[3] == "events":
-            await self._stream_events(record, writer)
+            await stream_record_events(record, writer)
         elif (method == "GET" and len(parts) == 5
               and parts[3] == "artifacts"):
             await self._get_artifact(record, parts[4], writer)
         else:
-            await self._respond(writer, 405,
-                                {"error": f"{method} not allowed on {path}"})
+            await respond(writer, 405,
+                          {"error": f"{method} not allowed on {path}"})
 
     # ------------------------------------------------------------------
     # route bodies
 
-    async def _post_job(self, body: bytes, writer: asyncio.StreamWriter,
-                        forwarded: bool = False) -> None:
+    async def _post_job(self, body: bytes,
+                        writer: asyncio.StreamWriter) -> None:
         try:
             doc = json.loads(body.decode("utf-8") or "null")
         except (UnicodeDecodeError, ValueError):
-            await self._respond(writer, 400, {"error": "body is not JSON"})
+            await respond(writer, 400, {"error": "body is not JSON"})
             return
         try:
             spec = ExperimentSpec.from_json(doc)
         except SpecError as exc:
             self.metrics.rejected("invalid")
-            await self._respond(writer, 400, {"error": str(exc)})
+            await respond(writer, 400, {"error": str(exc)})
             return
-        if forwarded:
-            self.metrics.forwarded(spec.kind, spec.key())
         try:
             record, created = self.submit(spec)
         except QueueFull as exc:
             self.metrics.rejected("backpressure")
-            await self._respond(
+            await respond(
                 writer, 429,
                 {"error": str(exc), "retry_after": exc.retry_after},
                 extra_headers=(("Retry-After",
@@ -533,42 +462,37 @@ class ExperimentService:
             return
         except QueueClosed:
             self.metrics.rejected("draining")
-            await self._respond(
+            await respond(
                 writer, 503,
                 {"error": "service is draining; not accepting new jobs"})
             return
         if created and record.source == "queued":
             await self.queue.notify()
         status = 200 if record.terminal else 202
-        await self._respond(writer, status,
-                            {"coalesced": not created, **record.to_json()})
-
-    # shared with the cluster coordinator (same record type, same
-    # NDJSON contract)
-    _stream_events = staticmethod(stream_record_events)
+        await respond(writer, status,
+                      {"coalesced": not created, **record.to_json()})
 
     async def _get_artifact(self, record: JobRecord, name: str,
                             writer: asyncio.StreamWriter) -> None:
         try:
             blob = self.cache.get_artifact(record.key, name)
         except ValueError as exc:
-            await self._respond(writer, 400, {"error": str(exc)})
+            await respond(writer, 400, {"error": str(exc)})
             return
         if blob is None:
-            await self._respond(
+            await respond(
                 writer, 404,
                 {"error": f"no artifact {name!r} for job {record.job_id}"})
             return
-        await self._respond(writer, 200, blob,
-                            content_type="application/octet-stream")
+        await respond(writer, 200, blob,
+                      content_type="application/octet-stream")
 
     # ------------------------------------------------------------------
     # documents
 
     def _healthz(self) -> Dict[str, Any]:
-        status = "draining" if self.draining else "ok"
-        doc: Dict[str, Any] = {
-            "status": status,
+        return {
+            "status": "draining" if self.draining else "ok",
             "queue_depth": len(self.queue),
             "queue_capacity": self.queue.capacity,
             "workers": self.tier.workers,
@@ -577,14 +501,6 @@ class ExperimentService:
             "jobs_tracked": len(self.jobs),
             "in_flight": len(self.active),
         }
-        if self.coordinator_url is not None:
-            doc["coordinator"] = self.coordinator_url
-            doc["registered"] = self.registered
-        shared_root = getattr(self.cache, "shared_root", None)
-        if shared_root is not None:
-            doc["shared_store"] = str(shared_root)
-            doc["cache_tier_hits"] = dict(self.cache.tier_hits)
-        return doc
 
     def _metrics_doc(self) -> Dict[str, Any]:
         return self.metrics.to_json(
@@ -615,15 +531,9 @@ async def serve_forever(service: ExperimentService) -> None:
 def run_server(host: str = "127.0.0.1", port: int = 8787, workers: int = 2,
                queue_capacity: int = 64,
                cache: Optional[ResultCache] = None,
-               worker_mode: str = "process",
-               shared_store: Optional[str] = None,
-               coordinator_url: Optional[str] = None,
-               advertise_host: Optional[str] = None) -> None:
+               worker_mode: str = "process") -> None:
     """Blocking entry point (the ``python -m repro serve`` verb)."""
     service = ExperimentService(host=host, port=port, workers=workers,
                                 queue_capacity=queue_capacity, cache=cache,
-                                worker_mode=worker_mode,
-                                shared_store=shared_store,
-                                coordinator_url=coordinator_url,
-                                advertise_host=advertise_host)
+                                worker_mode=worker_mode)
     asyncio.run(serve_forever(service))

@@ -5,7 +5,7 @@ attack-program space, in the spirit of uGen (PAPERS.md): seeded
 mutation and crossover over parameterized gadget chains, a staged
 static fitness pipeline (assemble / lint / taint) that kills most raw
 candidates for free, and measured evaluation of the survivors through
-the content-addressed harness -- locally or against the serve fleet.
+the content-addressed harness -- locally or against a running service.
 
 Layers:
 
@@ -16,8 +16,8 @@ Layers:
 - :mod:`repro.synth.jobs` -- the ``synth.measure`` registered harness
   job (one cached row serves every objective);
 - :mod:`repro.synth.objectives` -- bandwidth / capacity / stealth;
-- :mod:`repro.synth.evaluate` -- local-harness and serve-fleet
-  finalist evaluators;
+- :mod:`repro.synth.evaluate` -- local-harness and serve finalist
+  evaluators;
 - :mod:`repro.synth.search` -- :func:`run_search` and the
   best-candidate report.
 """

@@ -1,8 +1,8 @@
-"""Finalist evaluation backends: local harness or the serve fleet.
+"""Finalist evaluation backends: local harness or a running service.
 
 Both backends speak the same content-addressed key space
 (:meth:`repro.harness.job.Job.key`), so a population measured locally
-warms the cache for a later fleet run and vice versa.  The evaluators
+warms the cache for a later served run and vice versa.  The evaluators
 accumulate executed/cached counters across the whole search -- the
 "identical rerun executes 0 new jobs" acceptance check reads them.
 """
@@ -117,9 +117,8 @@ class LocalEvaluator:
 
 class ServeEvaluator:
     """Measure finalists through a :class:`~repro.serve.client.
-    ServeClient` -- one service or a coordinator fleet -- using the
-    bounded-concurrency :meth:`~repro.serve.client.ServeClient.
-    submit_many` batch helper."""
+    ServeClient` using the bounded-concurrency
+    :meth:`~repro.serve.client.ServeClient.submit_many` batch helper."""
 
     def __init__(self, client, max_in_flight: int = 8,
                  timeout: Optional[float] = None):

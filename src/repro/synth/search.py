@@ -13,7 +13,7 @@ genome space of :mod:`repro.synth.genome`:
    and lint-dirty candidates die here, which is most of them.
 3. **submit** -- static survivors are ranked by the taint-derived
    static rate and the top finalists go to the evaluator (local
-   harness pool or serve fleet).  Content-addressed job keys dedupe
+   harness pool or a running service).  Content-addressed job keys dedupe
    re-visited candidates across generations: a genome seen before
    reuses its measured row without a submission.
 4. **score** -- the pluggable objective maps measured rows to fitness;

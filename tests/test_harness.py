@@ -20,7 +20,6 @@ from repro.harness import (
     NullCache,
     ResultCache,
     Sweep,
-    TieredResultCache,
     TransientJobError,
     canonical_json,
     fingerprint_program,
@@ -260,69 +259,6 @@ def test_clear_empties_quarantine_and_sidecars(tmp_path):
     assert not cache.quarantine_dir.exists()
     assert cache.stats().entries == 0
     assert cache.stats().artifacts == 0
-
-
-# ----------------------------------------------------------------------
-# Cache: cluster tiering (memory -> local disk -> shared)
-
-
-def test_tiered_cache_reads_through_and_promotes(tmp_path):
-    shared = ResultCache(tmp_path / "shared")
-    tiered = TieredResultCache(ResultCache(tmp_path / "local"), shared)
-    key = "45" + "1" * 62
-    shared.put(key, "f", {"who": "other-node"})
-    # first read walks to the shared tier...
-    assert tiered.get(key) == {"who": "other-node"}
-    assert tiered.tier_hits["shared"] == 1
-    # ...and promotes: now on local disk and in the hot set
-    assert tiered.local.get(key) == {"who": "other-node"}
-    assert tiered.get(key) == {"who": "other-node"}
-    assert tiered.tier_hits["memory"] == 1
-
-
-def test_tiered_cache_writes_through_every_tier(tmp_path):
-    tiered = TieredResultCache.from_roots(
-        tmp_path / "local", tmp_path / "shared")
-    key = "67" + "1" * 62
-    tiered.put(key, "f", {"x": 9})
-    assert tiered.local.get(key) == {"x": 9}
-    assert tiered.shared.get(key) == {"x": 9}
-    # a sibling node sharing the store sees the result
-    sibling = TieredResultCache.from_roots(
-        tmp_path / "other-local", tmp_path / "shared")
-    assert sibling.get(key) == {"x": 9}
-    assert sibling.tier_hits["shared"] == 1
-
-
-def test_tiered_cache_memory_tier_is_bounded_lru(tmp_path):
-    tiered = TieredResultCache.from_roots(
-        tmp_path / "local", None, memory_capacity=2)
-    keys = [f"{i:02d}" + "2" * 62 for i in range(3)]
-    for i, key in enumerate(keys):
-        tiered.put(key, "f", {"i": i})
-    assert tiered.hot_keys == 2  # oldest evicted from memory...
-    assert tiered.get(keys[0]) == {"i": 0}  # ...but still on disk
-    assert tiered.tier_hits["local"] == 1
-
-
-def test_tiered_cache_clear_leaves_shared_store_alone(tmp_path):
-    tiered = TieredResultCache.from_roots(
-        tmp_path / "local", tmp_path / "shared")
-    key = "89" + "1" * 62
-    tiered.put(key, "f", {"x": 1})
-    tiered.clear()
-    assert tiered.local.get(key) is None
-    assert tiered.shared.get(key) == {"x": 1}  # fleet property, not ours
-    assert tiered.get(key) == {"x": 1}  # read-through refills
-
-
-def test_tiered_cache_promotes_artifacts_from_shared(tmp_path):
-    shared = ResultCache(tmp_path / "shared")
-    tiered = TieredResultCache(ResultCache(tmp_path / "local"), shared)
-    key = "ab" + "2" * 62
-    shared.put_artifact(key, "trace.json", b"[1, 2]")
-    assert tiered.get_artifact(key, "trace.json") == b"[1, 2]"
-    assert tiered.local.get_artifact(key, "trace.json") == b"[1, 2]"
 
 
 # ----------------------------------------------------------------------

@@ -1,16 +1,15 @@
 """ServeClient.submit_many: bounded-concurrency batch submission.
 
-Burst-tested against the in-process fleet
-(:class:`~repro.serve.testing.ClusterThread`) and against a
-deliberately tiny single-service admission queue, where the whole
-batch must ride out 429 backpressure through the shared Retry-After
-pause instead of failing."""
+Burst-tested against a 2-worker service and against a deliberately
+tiny admission queue, where the whole batch must ride out 429
+backpressure through the shared Retry-After pause instead of failing.
+"""
 
 import pytest
 
 from repro.harness.cache import ResultCache
 from repro.serve.client import Backpressure
-from repro.serve.testing import ClusterThread, ServerThread
+from repro.serve.testing import ServerThread
 
 
 def _echo_spec(token):
@@ -19,26 +18,32 @@ def _echo_spec(token):
 
 
 @pytest.fixture(scope="module")
-def cluster():
-    with ClusterThread(workers=2, worker_processes=1,
-                       worker_mode="thread") as fleet:
-        yield fleet
+def server(tmp_path_factory):
+    cache = ResultCache(tmp_path_factory.mktemp("submit-many-cache"))
+    with ServerThread(cache=cache, workers=2, worker_mode="thread") as srv:
+        yield srv
 
 
-def test_burst_returns_terminal_records_in_spec_order(cluster):
+def test_burst_returns_terminal_records_in_spec_order(server):
     specs = [_echo_spec(i) for i in range(12)]
-    records = cluster.client().submit_many(specs, max_in_flight=4,
-                                           timeout=300.0)
+    records = server.client().submit_many(specs, max_in_flight=4,
+                                          timeout=300.0)
     assert len(records) == len(specs)
     for i, record in enumerate(records):
         assert record["status"] == "done"
         assert record["result"]["result"]["token"] == i
 
 
-def test_burst_of_identical_specs_coalesces_or_hits_cache(cluster):
-    specs = [_echo_spec("same") for _ in range(8)]
-    records = cluster.client().submit_many(specs, max_in_flight=8,
-                                           timeout=300.0)
+def test_burst_of_identical_specs_coalesces_or_hits_cache(server):
+    # A job that outlives the burst's admission: an instant echo can
+    # finish between two submissions, and the next twin is then a
+    # cache answer with an id of its own.
+    spec = {"kind": "job",
+            "params": {"fn": "debug.sleep",
+                       "params": {"seconds": 0.5, "token": "same"}}}
+    specs = [spec] * 8
+    records = server.client().submit_many(specs, max_in_flight=8,
+                                          timeout=300.0)
     assert all(r["status"] == "done" for r in records)
     assert len({r["id"] for r in records}) == 1, \
         "identical burst must coalesce onto one job"
@@ -46,7 +51,7 @@ def test_burst_of_identical_specs_coalesces_or_hits_cache(cluster):
     assert len({r["key"] for r in records}) == 1
 
 
-def test_invalid_spec_in_batch_raises_at_admission(cluster):
+def test_invalid_spec_in_batch_raises_at_admission(server):
     """A 400 is a spec-authoring bug, not a job failure: it must
     propagate (the synth pipeline's static stages exist precisely so
     no such spec is ever submitted)."""
@@ -56,7 +61,7 @@ def test_invalid_spec_in_batch_raises_at_admission(cluster):
              {"kind": "job", "params": {"fn": "no.such.fn"}},
              _echo_spec(2)]
     with pytest.raises(ServeError):
-        cluster.client().submit_many(specs, timeout=300.0)
+        server.client().submit_many(specs, timeout=300.0)
 
 
 def test_batch_survives_backpressure_on_a_tiny_queue(tmp_path):
@@ -101,8 +106,8 @@ def test_exhausted_backpressure_retries_raise(tmp_path):
                 pass
 
 
-def test_window_never_exceeds_max_in_flight(cluster):
-    client = cluster.client()
+def test_window_never_exceeds_max_in_flight(server):
+    client = server.client()
     before = {j["id"] for j in client.jobs()["jobs"]}
     specs = [_echo_spec(f"w{i}") for i in range(9)]
     records = client.submit_many(specs, max_in_flight=3, timeout=300.0)

@@ -125,6 +125,49 @@ def test_tier_degrades_to_threads_when_pool_unavailable(tmp_path,
 
 def test_worker_entry_flattens_bad_spec_to_error():
     report = _worker_entry(({"kind": "job",
-                             "params": {"fn": "no.such.fn"}}, None, None))
+                             "params": {"fn": "no.such.fn"}}, None))
     assert not report["ok"]
     assert "SpecError" in report["error"]
+
+
+def test_worker_killed_under_running_job_keeps_process_mode(tmp_path):
+    """SIGKILL a worker process while a job runs: the broken pool is
+    replaced by a fresh process pool, the lost job reruns once and
+    finishes, and the service never degrades to threads."""
+    import os
+    import signal
+    import time
+
+    from repro.serve.testing import ServerThread
+
+    cache = ResultCache(tmp_path / "cache")
+    with ServerThread(cache=cache, workers=2) as srv:
+        client = srv.client(timeout=60)
+        record = client.submit({
+            "kind": "job",
+            "params": {"fn": "debug.sleep",
+                       "params": {"seconds": 1.0, "token": "killed"}},
+        })
+        deadline = time.monotonic() + 30
+        while client.status(record["id"])["status"] != "running":
+            assert time.monotonic() < deadline, "job never started"
+            time.sleep(0.02)
+        time.sleep(0.2)  # the worker is inside the sleep now
+        pids = list(srv.service.tier._pool._processes)
+        os.kill(pids[0], signal.SIGKILL)
+
+        final = client.wait(record["id"], timeout=60)
+        assert final["status"] == "done", final.get("error")
+        assert final["result"]["result"] == {"slept": 1.0,
+                                             "token": "killed"}
+        health = client.healthz()
+        assert health["worker_mode"] == "process"
+        assert health["worker_degraded"] is False
+
+        after = client.submit_and_wait({
+            "kind": "job",
+            "params": {"fn": "debug.echo", "params": {"token": "after"}},
+        }, timeout=60)
+        assert after["status"] == "done", after.get("error")
+        assert after["result"]["result"]["token"] == "after"
+        assert client.metrics()["counters"]["failed"] == 0
